@@ -19,7 +19,6 @@ from .posets import (
     hasse,
     join,
     join_irreducibles,
-    leq_tab,
     meet,
     order_increasing_subsets,
     to_dot,
@@ -37,7 +36,7 @@ from .gtpatterns import (
     ssyt_to_gt,
     weight,
 )
-from .hibi import HibiMonomial, HibiPolynomial, graded_dimension, hibi_to_gt, is_standard, straighten
+from .hibi import HibiMonomial, HibiPolynomial, graded_dimension, hibi_to_gt, straighten
 from .flagalg import (
     GlexOrder,
     MatrixPolynomial,
@@ -46,7 +45,6 @@ from .flagalg import (
     check_sagbi_pair,
     check_unipotent_invariance,
     expand_in_standard_basis,
-    graded_component_dimension,
     initial_monomial,
     minor,
     straightening_relation,

@@ -83,6 +83,8 @@ def suite_birkhoff(n: int = 5) -> tuple[int, list[str]]:
     picture of the GT poset."""
     cases = 0
     failures: list[str] = []
+    gt = posets.GtPoset(n)
+    upsets = posets.order_increasing_subsets(gt)  # checks the node guard
     lattice = TableauLattice.full(n)
     ind = {c: gtpatterns.column_to_indicator(c) for c in lattice}
     for a in lattice:
@@ -98,11 +100,10 @@ def suite_birkhoff(n: int = 5) -> tuple[int, list[str]]:
                 failures.append(f"join not intertwined at {a.label}, {b.label}")
             if gtpatterns.indicator_meet(ind[a], ind[b]) != ind[posets.meet(a, b)]:
                 failures.append(f"meet not intertwined at {a.label}, {b.label}")
-    gt = posets.GtPoset(n)
     cases += 1
-    upsets = sum(1 for _ in posets.order_increasing_subsets(gt))
-    if upsets - 1 != len(lattice) or len(lattice) != 2**n - 1:
-        failures.append(f"up-set count {upsets} vs lattice size {len(lattice)}")
+    count = sum(1 for _ in upsets)
+    if count - 1 != len(lattice) or len(lattice) != 2**n - 1:
+        failures.append(f"up-set count {count} vs lattice size {len(lattice)}")
     # join-irreducibles with an added greatest element match the GT poset
     cases += 1
     ji = posets.join_irreducibles(lattice)
@@ -127,13 +128,13 @@ def suite_birkhoff(n: int = 5) -> tuple[int, list[str]]:
             for a in ji:
                 for b in ji:
                     cases += 1
-                    if (a <= b) != posets.gt_leq(mapping[a], mapping[b]):
+                    if (a <= b) != posets.gt_geq(mapping[b], mapping[a]):
                         failures.append(
                             f"irreducible order mismatch at {a.label}, {b.label}"
                         )
             for a in ji:
                 cases += 1
-                if not posets.gt_leq(mapping[a], top):
+                if not posets.gt_geq(top, mapping[a]):
                     failures.append(f"{a.label} not below the greatest node")
     return cases, failures
 

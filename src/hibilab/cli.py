@@ -1,9 +1,10 @@
 """Command line front end.
 
-Subcommands: hasse, convert, dim, straighten, enumerate, subposet, skew,
-check.  All output is deterministic; JSON is canonical (sorted keys, no
-extra whitespace).  Exit codes: 0 success, 1 failed check suite, 2 invalid
-usage or bounds, 3 invariant violation in input data.
+Subcommands: hasse, convert, dim, straighten, enumerate, subposet (an
+alias of ``hasse gt-sub``), skew, check.  All output is deterministic;
+JSON is canonical (sorted keys, no extra whitespace).  Exit codes: 0
+success, 1 failed check suite, 2 invalid usage or bounds, 3 invariant
+violation in input data.
 """
 
 from __future__ import annotations
@@ -123,11 +124,8 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_subposet(args) -> int:
-    lattice = _build_lattice(args.family, _ints(args.bounds))
-    chosen = ConstantPolicy(args.policy) if args.policy else None
-    poset = posets.associated_gt_subposet(lattice, chosen)
-    _emit(posets.to_dot(poset), args.out)
-    return 0
+    args.family, args.bounds = "gt-sub", [args.family] + args.bounds
+    return cmd_hasse(args)
 
 
 def _load_json(path: str):
@@ -140,12 +138,15 @@ def _load_json(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _chain_from_dict(data: dict) -> tuple[ColumnTableau, ...]:
+def _read(kind: str, data):
+    """The SSYT, GT pattern or chain of columns a JSON document describes."""
     try:
-        n = int(data["n"])
-        return tuple(ColumnTableau(col, n) for col in data["columns"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad chain: {exc}") from exc
+        if kind == "chain":
+            n = int(data["n"])
+            return tuple(ColumnTableau(col, n) for col in data["columns"])
+        return (SSYT if kind == "ssyt" else GtPattern).from_dict(data)
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"bad {kind}: {exc}") from exc
 
 
 def _chain_to_dict(chain: Sequence[ColumnTableau], n: int) -> dict:
@@ -159,7 +160,7 @@ def cmd_convert(args) -> int:
         _check_n(n)
     try:
         if args.src == "ssyt":
-            t = SSYT.from_dict(data)
+            t = _read("ssyt", data)
             size = n if n is not None else max(t.max_entry, 1)
             if args.dst == "ssyt":
                 result = t.to_dict()
@@ -169,7 +170,7 @@ def cmd_convert(args) -> int:
                 from .tableaux import ssyt_to_multichain
                 result = _chain_to_dict(ssyt_to_multichain(t, size), size)
         elif args.src == "gt":
-            f = GtPattern.from_dict(data)
+            f = _read("gt", data)
             if args.dst == "gt":
                 result = f.to_dict()
             elif args.dst == "ssyt":
@@ -180,7 +181,7 @@ def cmd_convert(args) -> int:
                     chain.extend([gtpatterns.indicator_to_column(ind)] * coeff)
                 result = _chain_to_dict(chain, f.n)
         else:
-            chain = _chain_from_dict(data)
+            chain = _read("chain", data)
             size = chain[0].n if chain else (n if n is not None else 1)
             if args.dst == "chain":
                 ordered = multichain_to_ssyt(chain)  # validates the multichain
@@ -227,19 +228,19 @@ def cmd_straighten(args) -> int:
     m = args.m
     try:
         if args.mode == "hibi":
-            lattice = TableauLattice.full(n) if m is None else TableauLattice.bounded(n, m)
+            lattice = _build_lattice("L", [n]) if m is None else _build_lattice("Lm", [n, m])
             poly = hibi.parse_polynomial(args.expression, lattice)
             sys.stdout.write(hibi.format_polynomial(hibi.straighten(poly)) + "\n")
             return 0
-        lattice = TableauLattice.bounded(n, m if m is not None else n)
-        width = lattice.column_bound
         chain = _parse_minor_product(args.expression, n)
+        deepest = max(c.depth for c in chain)
+        if deepest > flagalg.MAX_MINOR_DEPTH:
+            raise UsageError(f"minor depth {deepest} above the guard {flagalg.MAX_MINOR_DEPTH}")
+        lattice = _build_lattice("Lm", [n, m if m is not None else n])
         shape = YoungDiagram(
             sorted((c.depth for c in chain), reverse=True)
         ).transpose()
-        product = flagalg.MatrixPolynomial.constant(1)
-        for c in chain:
-            product = product * flagalg.minor(c, n, width)
+        product = flagalg.standard_monomial_poly(chain, n, lattice.column_bound)
         expansion = flagalg.expand_in_standard_basis(product, shape, lattice)
         sys.stdout.write(expansion.text + "\n")
         return 0
@@ -256,8 +257,6 @@ def _parse_minor_product(text: str, n: int) -> list[ColumnTableau]:
         if not m:
             raise UsageError(f"cannot parse minor {factor!r} (want d[i,j,...])")
         chain.append(ColumnTableau((int(x) for x in m.group(1).split(",")), n))
-    if not chain:
-        raise UsageError("empty minor product")
     return chain
 
 
@@ -266,7 +265,7 @@ def cmd_skew(args) -> int:
     if args.n is not None:
         _check_n(args.n)
     try:
-        t = SSYT.from_dict(data)
+        t = _read("ssyt", data)
         sk = to_skew(t, args.k)
         if args.content:
             n = args.n if args.n is not None else max(t.max_entry, args.k + 1)
@@ -293,7 +292,12 @@ def cmd_check(args) -> int:
             kwargs[name] = value
     if args.n is not None:
         _check_n(args.n)
-    cases, failures = suite(**kwargs)
+    try:
+        cases, failures = suite(**kwargs)
+    except ValueError as exc:
+        # a suite lists its own failures; what escapes is a bound or guard
+        # that its parameters break
+        raise UsageError(str(exc)) from exc
     bounds = " ".join(f"{k}={v}" for k, v in sorted(kwargs.items()))
     status = "PASS" if not failures else "FAIL"
     line = f"{status} suite={args.suite} cases={cases} failures={len(failures)}"

@@ -54,10 +54,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    @property
-    def is_one(self) -> bool:
-        return not self.exps
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(list(self.exps) + list(other.exps))
 
@@ -457,18 +453,6 @@ def is_unipotent_invariant(p: MatrixPolynomial, n: int, m: int) -> bool:
 def check_unipotent_invariance(i: ColumnTableau, n: int, m: int) -> bool:
     """Invariance of the minor on ``i`` under the unitriangular action."""
     return is_unipotent_invariant(minor(i, n, m), n, m)
-
-
-def graded_component_dimension(lattice: TableauLattice, shape: YoungDiagram, n: int) -> int:
-    """Number of standard monomials of the given shape."""
-    shape = shape if isinstance(shape, YoungDiagram) else YoungDiagram(shape)
-    if n != lattice.n:
-        raise ValueError(f"lattice is over n={lattice.n}, got n={n}")
-    if shape.depth > lattice.column_bound:
-        raise ValueError(
-            f"shape {shape.rows} deeper than the column bound {lattice.column_bound}"
-        )
-    return lattice.count_multichains(shape.transpose().rows)
 
 
 def format_polynomial(p: MatrixPolynomial, order: GlexOrder) -> str:

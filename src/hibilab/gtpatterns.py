@@ -85,6 +85,7 @@ class GtPattern:
         )
 
     def __add__(self, other: "GtPattern") -> "GtPattern":
+        """Pointwise sum; order preservation is automatic."""
         if not isinstance(other, GtPattern):
             return NotImplemented
         if self.n != other.n:
@@ -136,11 +137,6 @@ class IndicatorPattern(GtPattern):
             raise ValueError("indicator pattern values must be 0 or 1")
         if self.is_zero:
             raise ValueError("indicator pattern must have non-empty support")
-
-
-def add(f: GtPattern, g: GtPattern) -> GtPattern:
-    """Pointwise sum; order preservation is automatic."""
-    return f + g
 
 
 def indicator_join(a: IndicatorPattern, b: IndicatorPattern) -> IndicatorPattern:

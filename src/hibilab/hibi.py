@@ -48,16 +48,19 @@ class HibiMonomial:
         return YoungDiagram(depths).transpose()
 
     def is_standard(self) -> bool:
-        return all(
-            a <= b or b <= a for a, b in combinations(self.factors, 2)
-        )
+        """A monomial is standard when its factors form a multichain."""
+        return not self.incomparable_pairs()
 
     def incomparable_pairs(self) -> list[tuple[int, int]]:
-        """Index pairs of incomparable factors, lexicographically ordered."""
+        """Index pairs of incomparable factors, lexicographically ordered.
+        Factors are sorted like the lattice's elements, a linear extension,
+        so an earlier factor can only lie below a later one."""
+        below = self.lattice.below()
+        pos = [self.lattice.index(f) for f in self.factors]
         return [
             (i, j)
-            for i, j in combinations(range(len(self.factors)), 2)
-            if not (self.factors[i] <= self.factors[j] or self.factors[j] <= self.factors[i])
+            for i, j in combinations(range(len(pos)), 2)
+            if pos[i] != pos[j] and not below[pos[j]] >> pos[i] & 1
         ]
 
     def rewrite(self, i: int, j: int) -> "HibiMonomial":
@@ -74,11 +77,6 @@ class HibiMonomial:
 
     def __repr__(self) -> str:
         return f"HibiMonomial({self.text})"
-
-
-def is_standard(m: HibiMonomial) -> bool:
-    """A monomial is standard when its factors form a multichain."""
-    return m.is_standard()
 
 
 def rank_measure(m: HibiMonomial) -> int:
@@ -219,10 +217,6 @@ def graded_dimension(l: TableauLattice, shape: YoungDiagram) -> int:
 
 
 # -- text form -------------------------------------------------------------
-
-def format_monomial(m: HibiMonomial) -> str:
-    return m.text
-
 
 def format_polynomial(p: HibiPolynomial) -> str:
     """Signed sum of monomials; unit coefficients are left implicit."""

@@ -3,8 +3,10 @@
 Two kinds of posets live here: the triangular GT posets (full, column
 bounded, or an explicit induced subposet) and the lattices of column
 tableaux (the full lattice plus its bounded, Grassmannian, symplectic and
-branching subfamilies).  Posets are stored as explicit node sets plus a
-comparability rule; cover relations are always recomputed, never stored.
+branching subfamilies).  Each poset has one order table, ``below()``: per
+element, the bitmask of the elements strictly below it.  Covers, ranks and
+multichains are read from it; a lattice builds it once, on first use, and
+also indexes its elements by their entries.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .tableaux import ColumnTableau, chain_sort_key
@@ -49,10 +52,6 @@ def gt_geq(a: GtNode, b: GtNode) -> bool:
     return a.index <= b.index and a.level - a.index >= b.level - b.index
 
 
-def gt_leq(a: GtNode, b: GtNode) -> bool:
-    return gt_geq(b, a)
-
-
 @dataclass(frozen=True)
 class GtPoset:
     """A GT poset: the full triangle, a column-bounded one, or an induced
@@ -86,8 +85,14 @@ class GtPoset:
     def elements(self) -> tuple[GtNode, ...]:
         return tuple(sorted(self.nodes, key=lambda x: (-x.level, x.index)))
 
-    def leq(self, a: GtNode, b: GtNode) -> bool:
-        return gt_leq(a, b)
+    def below(self) -> tuple[int, ...]:
+        """Per element of ``elements``, the bitmask of the elements strictly
+        below it."""
+        elems = self.elements
+        return tuple(
+            sum(1 << j for j, y in enumerate(elems) if y != x and gt_geq(x, y))
+            for x in elems
+        )
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -99,28 +104,28 @@ class GtPoset:
         return iter(self.elements)
 
 
-def leq_tab(a: ColumnTableau, b: ColumnTableau) -> bool:
-    """Whether ``a <= b`` in the componentwise tableau order."""
-    return a <= b
+def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(max, a, b))
+
+
+def _meet(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if len(a) > len(b):
+        a, b = b, a
+    return tuple(map(min, a, b)) + b[len(a):]
 
 
 def join(a: ColumnTableau, b: ColumnTableau) -> ColumnTableau:
     """Entrywise maximum over the shallower depth."""
     if a.n != b.n:
         raise ValueError("join requires the same ambient bound")
-    if a.depth > b.depth:
-        a, b = b, a
-    return ColumnTableau(tuple(max(x, y) for x, y in zip(a.entries, b.entries)), a.n)
+    return ColumnTableau(_join(a.entries, b.entries), a.n)
 
 
 def meet(a: ColumnTableau, b: ColumnTableau) -> ColumnTableau:
     """Entrywise minimum, extended by the tail of the deeper column."""
     if a.n != b.n:
         raise ValueError("meet requires the same ambient bound")
-    if a.depth > b.depth:
-        a, b = b, a
-    head = tuple(min(x, y) for x, y in zip(a.entries, b.entries))
-    return ColumnTableau(head + b.entries[a.depth:], a.n)
+    return ColumnTableau(_meet(a.entries, b.entries), a.n)
 
 
 class Family(enum.Enum):
@@ -152,24 +157,27 @@ class TableauLattice:
 
     def __init__(self, n: int, family: Family, m: Optional[int], k: Optional[int],
                  elements: Iterable[ColumnTableau]):
-        elements = tuple(sorted(elements, key=chain_sort_key))
+        # chain_sort_key lists smaller elements first: a linear extension
+        elements = tuple(sorted(set(elements), key=chain_sort_key))
         if len(elements) > MAX_LATTICE_SIZE:
             raise ValueError(
                 f"lattice with {len(elements)} elements exceeds the "
                 f"desk-scale guard of {MAX_LATTICE_SIZE}"
             )
-        members = set(e.entries for e in elements)
-        for a, b in combinations(elements, 2):
-            if join(a, b).entries not in members or meet(a, b).entries not in members:
+        index = {e.entries: i for i, e in enumerate(elements)}
+        for a, b in combinations(index, 2):
+            if _join(a, b) not in index or _meet(a, b) not in index:
                 raise ValueError(
                     f"family {family.value} not closed under join/meet at "
-                    f"{a.label}, {b.label}"
+                    f"{elements[index[a]].label}, {elements[index[b]].label}"
                 )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_hash", hash((n, family, m, k, elements)))
 
     # -- constructors -------------------------------------------------
 
@@ -235,15 +243,6 @@ class TableauLattice:
         """Largest column depth present; the matrix width for minors."""
         return self.m if self.m is not None else self.n
 
-    def leq(self, a: ColumnTableau, b: ColumnTableau) -> bool:
-        return a <= b
-
-    def join(self, a: ColumnTableau, b: ColumnTableau) -> ColumnTableau:
-        return join(a, b)
-
-    def meet(self, a: ColumnTableau, b: ColumnTableau) -> ColumnTableau:
-        return meet(a, b)
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -251,106 +250,128 @@ class TableauLattice:
         return iter(self.elements)
 
     def __contains__(self, c: ColumnTableau) -> bool:
-        return c.n == self.n and any(c.entries == e.entries for e in self.elements)
+        return c.n == self.n and c.entries in self._index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TableauLattice):
             return NotImplemented
-        return (self.n, self.family, self.m, self.k) == (other.n, other.family, other.m, other.k)
+        return self is other or (
+            (self.n, self.family, self.m, self.k, self.elements)
+            == (other.n, other.family, other.m, other.k, other.elements)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.family, self.m, self.k))
+        return self._hash
+
+    def index(self, c: ColumnTableau) -> int:
+        """Position of the member ``c`` in ``elements`` and in ``below()``."""
+        return self._index[c.entries]
+
+    def below(self) -> tuple[int, ...]:
+        """The order table: per element of ``elements``, the bitmask of the
+        elements strictly below it.  ``d <= c`` iff ``d`` is at least as deep
+        and entrywise at most ``c`` over ``c``'s depth, so the elements at
+        most ``c`` are the intersection of one mask per entry of ``c``."""
+        if getattr(self, "_below", None) is None:
+            # at_most[t][v]: elements whose entry in row t exists and is <= v
+            at_most = [[0] * (self.n + 1) for _ in range(self.n)]
+            for j, e in enumerate(self.elements):
+                for t, x in enumerate(e.entries):
+                    at_most[t][x] |= 1 << j
+            at_most = [list(accumulate(row, or_)) for row in at_most]
+            table = []
+            for i, e in enumerate(self.elements):
+                mask = ~(1 << i)
+                for t, x in enumerate(e.entries):
+                    mask &= at_most[t][x]
+                table.append(mask)
+            object.__setattr__(self, "_below", tuple(table))
+        return self._below
 
     def rank(self, c: ColumnTableau) -> int:
-        """Height of ``c``: the longest chain strictly below it."""
-        return self._ranks()[c.entries]
+        """Height of ``c``: the longest chain strictly below it.  The lattice
+        is graded, so the walk down through the last element listed below
+        (a lower cover, as ``elements`` is a linear extension) is longest."""
+        below = self.below()
+        mask, height = below[self.index(c)], 0
+        while mask:
+            mask = below[mask.bit_length() - 1]
+            height += 1
+        return height
 
-    def _ranks(self) -> dict[tuple[int, ...], int]:
-        cached = getattr(self, "_rank_cache", None)
-        if cached is None:
-            cached = {}
-            # elements sorted by chain_sort_key list smaller elements first,
-            # which is a linear extension of <=.
-            for i, c in enumerate(self.elements):
-                below = [
-                    cached[d.entries] for d in self.elements[:i] if d < c
-                ]
-                cached[c.entries] = 1 + max(below) if below else 0
-            object.__setattr__(self, "_rank_cache", cached)
-        return cached
+    def _levels(self, depths: Iterable[int]) -> list[list[int]]:
+        """Positions of the elements of each of ``depths``, deepest first as
+        a multichain lists them."""
+        by_depth: dict[int, list[int]] = {}
+        for i, e in enumerate(self.elements):
+            by_depth.setdefault(e.depth, []).append(i)
+        return [by_depth.get(d, []) for d in sorted(depths, reverse=True)]
 
     def multichains(self, depths: Iterable[int]) -> Iterator[tuple[ColumnTableau, ...]]:
         """All multichains whose sorted depth sequence equals ``depths``
         (weakly decreasing), listed smallest element first."""
-        depths = sorted(depths, reverse=True)
-        by_depth: dict[int, list[ColumnTableau]] = {}
-        for e in self.elements:
-            by_depth.setdefault(e.depth, []).append(e)
-        for d in depths:
-            if d not in by_depth:
-                return
+        levels = self._levels(depths)
+        if not all(levels):
+            return
+        below = self.below()
 
-        def rec(i: int, prev: Optional[ColumnTableau]) -> Iterator[tuple[ColumnTableau, ...]]:
-            if i == len(depths):
+        def rec(i: int, prev: Optional[int]) -> Iterator[tuple[ColumnTableau, ...]]:
+            if i == len(levels):
                 yield ()
                 return
-            for c in by_depth[depths[i]]:
-                if prev is None or prev <= c:
+            for c in levels[i]:
+                if prev is None or prev == c or below[c] >> prev & 1:
                     for rest in rec(i + 1, c):
-                        yield (c,) + rest
+                        yield (self.elements[c],) + rest
 
         yield from rec(0, None)
 
     def count_multichains(self, depths: Iterable[int]) -> int:
         """Number of multichains with the given depth multiset."""
-        depths = sorted(depths, reverse=True)
-        by_depth: dict[int, list[ColumnTableau]] = {}
-        for e in self.elements:
-            by_depth.setdefault(e.depth, []).append(e)
-        if any(d not in by_depth for d in depths):
-            return 0
-        memo: dict[tuple[int, Optional[tuple[int, ...]]], int] = {}
-
-        def count(i: int, prev: Optional[ColumnTableau]) -> int:
-            if i == len(depths):
-                return 1
-            key = (i, None if prev is None else prev.entries)
-            if key not in memo:
-                memo[key] = sum(
-                    count(i + 1, c)
-                    for c in by_depth[depths[i]]
-                    if prev is None or prev <= c
-                )
-            return memo[key]
-
-        return count(0, None)
+        below = self.below()
+        # per candidate for the current factor: (elements at most it, number
+        # of ways to finish the multichain from it); -1 stands past the end
+        ahead = [(-1, 1)]
+        for level in reversed(self._levels(depths)):
+            ahead = [
+                (below[c] | 1 << c, sum(w for upto, w in ahead if upto >> c & 1))
+                for c in level
+            ]
+        return sum(w for _, w in ahead)
 
 
 PosetLike = Union[GtPoset, TableauLattice]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lower_covers(below: tuple[int, ...]) -> list[int]:
+    """Per element, the bitmask of its lower covers: the elements below it
+    that are below nothing else below it."""
+    covers = []
+    for mask in below:
+        under = 0
+        for j in _bits(mask):
+            under |= below[j]
+        covers.append(mask & ~under)
+    return covers
+
+
 def hasse(p: PosetLike) -> list[tuple[object, object]]:
     """Cover relations of a finite poset as (greater, smaller) pairs,
     sorted lexicographically by node labels."""
-    elems = list(p.elements)
-    n = len(elems)
-    down = [0] * n  # bitmask of elements strictly below i
-    up = [0] * n  # bitmask of elements strictly above j
-    for i in range(n):
-        for j in range(n):
-            if i != j and p.leq(elems[j], elems[i]) and not p.leq(elems[i], elems[j]):
-                down[i] |= 1 << j
-                up[j] |= 1 << i
-    edges = []
-    for i in range(n):
-        mask = down[i]
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            # i covers j iff nothing sits strictly between them
-            if not (up[j] & down[i]):
-                edges.append((elems[i], elems[j]))
-            mask ^= low
+    elems = p.elements
+    edges = [
+        (elems[i], elems[j])
+        for i, mask in enumerate(_lower_covers(p.below()))
+        for j in _bits(mask)
+    ]
     edges.sort(key=lambda e: (e[0].label, e[1].label))
     return edges
 
@@ -359,10 +380,10 @@ def join_irreducibles(l: TableauLattice) -> tuple[ColumnTableau, ...]:
     """Elements that are neither the least element nor a join of two
     strictly smaller elements; equivalently, elements with exactly one
     lower cover."""
-    lower_count: dict[tuple[int, ...], int] = {c.entries: 0 for c in l.elements}
-    for greater, _smaller in hasse(l):
-        lower_count[greater.entries] += 1
-    return tuple(c for c in l.elements if lower_count[c.entries] == 1)
+    return tuple(
+        c for c, covers in zip(l.elements, _lower_covers(l.below()))
+        if covers and not covers & (covers - 1)
+    )
 
 
 def order_increasing_subsets(
@@ -372,7 +393,7 @@ def order_increasing_subsets(
 
     Recursion over a linear extension: nodes are visited from maximal to
     minimal, and a node may enter only if all its upper covers already did.
-    Guarded at ``max_nodes`` nodes (default 24, or HIBILAB_MAX_NODES).
+    Guarded at ``max_nodes`` nodes (default 24, or HIBILAB_MAX_NODES) on call.
     """
     if max_nodes is None:
         max_nodes = _enum_guard()
@@ -402,7 +423,7 @@ def order_increasing_subsets(
             yield from rec(i + 1, chosen)
             chosen.pop()
 
-    yield from rec(0, [])
+    return rec(0, [])
 
 
 class ConstantPolicy(enum.Enum):

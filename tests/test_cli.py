@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -133,6 +134,18 @@ class TestConvert:
         assert "incomparable" in err
 
 
+    @pytest.mark.parametrize("src,dst,text", [
+        ("ssyt", "gt", "[1,2]"),
+        ("gt", "ssyt", '{"n":3,"rows":5}'),
+        ("gt", "ssyt", '{"n":3}'),
+    ])
+    def test_malformed_document_is_exit_3(self, capsys, monkeypatch, src, dst, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "convert", "--from", src, "--to", dst, "-")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestDim:
     @pytest.mark.parametrize("shape,n,m,expected", [
         ("(2,1)", "3", None, "8"),
@@ -187,6 +200,16 @@ class TestStraighten:
     def test_parse_error(self, capsys):
         assert run(capsys, "straighten", "--mode", "flag", "nope", "4", "2")[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "hibi", "x[1]", "3", "5"],
+        ["--mode", "flag", "d[1]", "3", "5"],
+        ["--mode", "flag", "d[1,2,3,4,5,6,7,8,9]", "9"],
+    ])
+    def test_bounds_are_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "straighten", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestSkew:
     def test_worked_example(self, capsys, tmp_path):
@@ -224,6 +247,11 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "sagbi", "--n", "4", "--m", "2")
         assert code == 0
         assert out.startswith("PASS suite=sagbi")
+
+    def test_enumeration_guard_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "check", "birkhoff", "--n", "7")
+        assert code == 2 and out == ""
+        assert "guard" in err and err.count("\n") == 1
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "check", "nothing")

@@ -13,7 +13,6 @@ from hibilab.flagalg import (
     diagonal_monomial,
     expand_in_standard_basis,
     format_polynomial,
-    graded_component_dimension,
     initial_monomial,
     is_unipotent_invariant,
     minor,
@@ -23,7 +22,7 @@ from hibilab.flagalg import (
     unipotent_substitute,
     x_var,
 )
-from hibilab.hibi import HibiMonomial, straighten
+from hibilab.hibi import HibiMonomial, graded_dimension, straighten
 from hibilab.posets import TableauLattice, join, meet
 from hibilab.tableaux import ColumnTableau, YoungDiagram
 
@@ -255,21 +254,13 @@ class TestInvariance:
 
 class TestGradedComponentDimension:
     def test_examples(self):
-        assert graded_component_dimension(
-            TableauLattice.bounded(3, 3), YoungDiagram((1,)), 3
-        ) == 3
-        assert graded_component_dimension(
-            TableauLattice.bounded(3, 3), YoungDiagram((2, 1)), 3
-        ) == 8
-        assert graded_component_dimension(
-            TableauLattice.bounded(4, 2), YoungDiagram((1, 1)), 4
-        ) == 6
+        assert graded_dimension(TableauLattice.bounded(3, 3), YoungDiagram((1,))) == 3
+        assert graded_dimension(TableauLattice.bounded(3, 3), YoungDiagram((2, 1))) == 8
+        assert graded_dimension(TableauLattice.bounded(4, 2), YoungDiagram((1, 1))) == 6
 
     def test_too_deep(self):
-        with pytest.raises(ValueError, match="deeper"):
-            graded_component_dimension(
-                TableauLattice.bounded(4, 2), YoungDiagram((1, 1, 1)), 4
-            )
+        with pytest.raises(ValueError, match="needs column depths"):
+            graded_dimension(TableauLattice.bounded(4, 2), YoungDiagram((1, 1, 1)))
 
 
 def _rank_over_q(rows):

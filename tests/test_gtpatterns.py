@@ -7,7 +7,6 @@ import pytest
 from hibilab.gtpatterns import (
     GtPattern,
     IndicatorPattern,
-    add,
     column_to_indicator,
     decompose,
     enumerate_patterns,
@@ -71,11 +70,11 @@ class TestPattern:
 class TestAdd:
     def test_identity(self):
         f = GtPattern(golden.EX_PATTERN_ROWS)
-        assert add(f, GtPattern.zero(4)) == f
+        assert f + GtPattern.zero(4) == f
 
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError, match="sizes"):
-            add(GtPattern.zero(3), GtPattern.zero(4))
+            GtPattern.zero(3) + GtPattern.zero(4)
 
     def test_modular_identity_on_indicators(self):
         # for incomparable supports: 1_A + 1_B = 1_(A u B) + 1_(A n B)

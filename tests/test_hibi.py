@@ -10,7 +10,6 @@ from hibilab.hibi import (
     format_polynomial,
     graded_dimension,
     hibi_to_gt,
-    is_standard,
     parse_polynomial,
     rank_measure,
     straighten,
@@ -42,13 +41,13 @@ def random_monomial(lattice, rng, max_degree=5):
 
 class TestStandard:
     def test_comparable_pair(self):
-        assert is_standard(mono(L4, (1,), (1, 2)))
+        assert mono(L4, (1,), (1, 2)).is_standard()
 
     def test_incomparable_pair(self):
-        assert not is_standard(mono(L4, (1, 4), (2, 3)))
+        assert not mono(L4, (1, 4), (2, 3)).is_standard()
 
     def test_empty_product(self):
-        assert is_standard(mono(L4))
+        assert mono(L4).is_standard()
 
     def test_membership_enforced(self):
         grass = TableauLattice.grassmannian(4, 2)
@@ -83,7 +82,7 @@ class TestStraighten:
         rng = random.Random(2)
         for _ in range(100):
             p = straighten(random_monomial(L5, rng))
-            assert all(is_standard(m) for m, _ in p.terms)
+            assert all(m.is_standard() for m, _ in p.terms)
 
     def test_shape_homogeneous_preserved(self):
         rng = random.Random(3)

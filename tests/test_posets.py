@@ -5,6 +5,7 @@ import pytest
 
 from hibilab.posets import (
     ConstantPolicy,
+    Family,
     GtNode,
     GtPoset,
     TableauLattice,
@@ -13,7 +14,6 @@ from hibilab.posets import (
     hasse,
     join,
     join_irreducibles,
-    leq_tab,
     meet,
     order_increasing_subsets,
     to_dot,
@@ -29,10 +29,10 @@ def col(entries, n):
 
 class TestTabOrder:
     def test_examples(self):
-        assert leq_tab(col((1, 3), 4), col((2,), 4))
-        assert not leq_tab(col((1, 4), 4), col((2, 3), 4))
-        assert not leq_tab(col((2, 3), 4), col((1, 4), 4))
-        assert leq_tab(col((1, 2, 3), 4), col((1, 2, 3), 4))
+        assert col((1, 3), 4) <= col((2,), 4)
+        assert not col((1, 4), 4) <= col((2, 3), 4)
+        assert not col((2, 3), 4) <= col((1, 4), 4)
+        assert col((1, 2, 3), 4) <= col((1, 2, 3), 4)
 
     def test_join_meet_examples(self):
         a, b = col((1, 4), 4), col((2, 3), 4)
@@ -248,6 +248,75 @@ class TestFamilies:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="guard"):
             TableauLattice.full(12)
+
+
+def small_families():
+    for n in range(1, 7):
+        yield TableauLattice.full(n)
+        for m in range(1, n + 1):
+            yield TableauLattice.bounded(n, m)
+            yield TableauLattice.grassmannian(n, m)
+            for k in range(1, n):
+                yield TableauLattice.branching(n, m, k)
+        if n % 2 == 0:
+            yield TableauLattice.symplectic(n)
+
+
+class TestOrderTable:
+    def test_table_matches_tableau_order(self):
+        for lattice in small_families():
+            below = lattice.below()
+            elems = lattice.elements
+            for i, c in enumerate(elems):
+                assert lattice.index(c) == i
+                for j, d in enumerate(elems):
+                    assert bool(below[i] >> j & 1) == (d <= c and i != j), (c, d)
+
+    def test_gt_table_matches_closed_form(self):
+        for p in (GtPoset(5), GtPoset(6, 2), GtPoset(4, nodes=[(4, 1), (3, 2), (2, 1)])):
+            below, elems = p.below(), p.elements
+            for i, x in enumerate(elems):
+                for j, y in enumerate(elems):
+                    assert bool(below[i] >> j & 1) == (x != y and gt_geq(x, y))
+
+    def test_rank_is_longest_chain_below(self):
+        for lattice in [TableauLattice.full(5), TableauLattice.branching(6, 3, 2)]:
+            height = {}
+            for c in lattice.elements:  # smaller elements come first
+                height[c] = max((height[d] + 1 for d in height if d < c), default=0)
+            assert all(lattice.rank(c) == h for c, h in height.items())
+
+    def test_multichain_count_matches_brute_force(self):
+        lattice = TableauLattice.bounded(5, 3)
+        for depths in [(), (1,), (2, 1), (3, 3, 1), (2, 2, 2), (4, 1), (3, 1, 1, 1)]:
+            pools = [
+                [c for c in lattice if c.depth == d] for d in sorted(depths, reverse=True)
+            ]
+            brute = [
+                chain for chain in itertools.product(*pools)
+                if all(a <= b for a, b in zip(chain, chain[1:]))
+            ]
+            assert list(lattice.multichains(depths)) == brute
+            assert lattice.count_multichains(depths) == len(brute)
+
+
+class TestLatticeIdentity:
+    def test_element_set_decides_equality(self):
+        lone = TableauLattice(3, Family.FULL, None, None, [ColumnTableau((1,), 3)])
+        assert lone != TableauLattice.full(3)
+        assert len({lone, TableauLattice.full(3)}) == 2
+        assert TableauLattice.full(3) == TableauLattice.full(3)
+        assert hash(TableauLattice.full(3)) == hash(TableauLattice.full(3))
+
+    def test_non_closed_set_rejected(self):
+        with pytest.raises(ValueError, match="not closed under join/meet"):
+            TableauLattice(4, Family.FULL, None, None, [col((1, 4), 4), col((2, 3), 4)])
+
+    def test_membership(self):
+        grass = TableauLattice.grassmannian(4, 2)
+        assert col((1, 3), 4) in grass
+        assert col((1,), 4) not in grass
+        assert col((1, 3), 5) not in grass
 
 
 class TestAssociatedSubposet:
