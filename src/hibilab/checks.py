@@ -7,7 +7,6 @@ and a list of human-readable counterexample strings (empty on success).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Optional
 
@@ -63,18 +62,6 @@ def count_ssyt_brute(shape: YoungDiagram, n: int) -> int:
 
     fill(0)
     return total
-
-
-def weyl_dimension(shape: YoungDiagram, n: int) -> int:
-    """Weyl product over the padded shape; exact rational arithmetic."""
-    lam = shape.padded(n)
-    value = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integer Weyl product for {shape.rows}, n={n}")
-    return int(value)
 
 
 def suite_birkhoff(n: int = 5) -> tuple[int, list[str]]:
@@ -168,7 +155,7 @@ def suite_dimension(n: int = 5, max_width: int = 4) -> tuple[int, list[str]]:
             brute = count_ssyt_brute(shape, size)
             patterns = sum(1 for _ in gtpatterns.enumerate_patterns(shape, size))
             standard = hibi.graded_dimension(lattices[size], shape)
-            weyl = weyl_dimension(shape, size)
+            weyl = gtpatterns.weyl_dimension(shape, size)
             cases += 1
             if not brute == patterns == standard == weyl:
                 failures.append(

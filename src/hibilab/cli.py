@@ -21,6 +21,7 @@ from .posets import ConstantPolicy, GtPoset, TableauLattice
 from .tableaux import SSYT, ColumnTableau, YoungDiagram, multichain_to_ssyt, to_skew
 
 MAX_N = 32
+MAX_ENUMERATE_LINES = 10_000
 
 
 class UsageError(Exception):
@@ -200,26 +201,28 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def cmd_dim(args) -> int:
+def _pattern_count(args) -> tuple[YoungDiagram, int]:
+    """The top row of ``dim``/``enumerate`` and its number of patterns."""
     shape = _parse_shape(args.shape)
     _check_n(args.n)
     if shape.depth > args.n:
         raise UsageError(f"shape {shape.rows} deeper than n={args.n}")
     if args.m is not None and shape.depth > args.m:
         raise UsageError(f"shape {shape.rows} deeper than m={args.m}")
-    count = sum(1 for _ in gtpatterns.enumerate_patterns(shape, args.n, args.m))
-    sys.stdout.write(f"{count}\n")
+    return shape, gtpatterns.weyl_dimension(shape, args.n)
+
+
+def cmd_dim(args) -> int:
+    sys.stdout.write(f"{_pattern_count(args)[1]}\n")
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    shape = _parse_shape(args.shape)
-    _check_n(args.n)
-    try:
-        for f in gtpatterns.enumerate_patterns(shape, args.n, args.m):
-            sys.stdout.write(_canonical_json(f.to_dict()) + "\n")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    shape, count = _pattern_count(args)
+    if count > MAX_ENUMERATE_LINES:
+        raise UsageError(f"{count} patterns, above the output guard of {MAX_ENUMERATE_LINES} lines")
+    for f in gtpatterns.enumerate_patterns(shape, args.n, args.m):
+        sys.stdout.write(_canonical_json(f.to_dict()) + "\n")
     return 0
 
 

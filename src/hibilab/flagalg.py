@@ -5,7 +5,9 @@ expansion in the standard monomial basis, and the SAGBI/invariance checks.
 
 Variables are tagged tuples: ``("x", a, b)`` for matrix coordinates and
 ``("u", p, q)`` for the strictly-upper entries of a unitriangular matrix
-(these appear only in the invariance checker).
+(these appear only in the invariance checker).  A monomial stores each
+variable as an integer rank that grows with the variable, so its glex key
+is the plain tuple ``(degree, pairs)``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .tableaux import SSYT, ColumnTableau, YoungDiagram
 Variable = tuple
 Coefficient = Union[int, Fraction]
 
+# x[a,b] has rank -(b << 16 | a) and u[p,q] a further 2**32 below, so a
+# greater variable has a greater rank and every u ranks below every x
+_SHIFT, _U_OFFSET = 16, 1 << 32
+
 
 def x_var(a: int, b: int) -> Variable:
     return ("x", a, b)
@@ -33,38 +39,76 @@ def _var_text(v: Variable) -> str:
     return f"{v[0]}[{v[1]},{v[2]}]"
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A product of variables with positive integer exponents."""
+def _variable(rank: int) -> Variable:
+    b, a = divmod(-rank % _U_OFFSET, 1 << _SHIFT)
+    return ("u" if -rank >= _U_OFFSET else "x", a, b)
 
-    exps: tuple[tuple[Variable, int], ...]
+
+class Monomial:
+    """A product of variables with positive integer exponents, stored as
+    ``(rank, exponent)`` pairs in descending rank with its degree, its hash
+    and ``maxrow``, the largest row of an x variable.  Treated as immutable."""
+
+    __slots__ = ("pairs", "degree", "maxrow", "_hash")
 
     def __init__(self, exps: Union[Mapping[Variable, int], Iterable[tuple[Variable, int]]] = ()):
         if isinstance(exps, Mapping):
             exps = exps.items()
-        merged: dict[Variable, int] = {}
+        merged: dict[int, int] = {}
+        maxrow = 0
         for var, e in exps:
             if e < 0:
                 raise ValueError(f"negative exponent on {var}")
             if e:
-                merged[var] = merged.get(var, 0) + e
-        object.__setattr__(self, "exps", tuple(sorted(merged.items())))
+                tag, a, b = var
+                if tag not in ("x", "u") or not (0 < a < 1 << _SHIFT and 0 < b < 1 << _SHIFT):
+                    raise ValueError(f"unsupported variable {var}: want x or u, indices 1..65535")
+                rank = -(b << _SHIFT | a) - (_U_OFFSET if tag == "u" else 0)
+                merged[rank] = merged.get(rank, 0) + e
+                maxrow = max(maxrow, a if tag == "x" else 0)
+        self._set(tuple(sorted(merged.items(), reverse=True)), sum(merged.values()), maxrow)
+
+    def _set(self, pairs: tuple[tuple[int, int], ...], degree: int, maxrow: int) -> "Monomial":
+        self.pairs, self.degree, self.maxrow, self._hash = pairs, degree, maxrow, hash(pairs)
+        return self
 
     @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+    def exps(self) -> tuple[tuple[Variable, int], ...]:
+        return tuple(sorted((_variable(r), e) for r, e in self.pairs))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Monomial) and self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(list(self.exps) + list(other.exps))
+        a, b = self.pairs, other.pairs
+        if not b or not a:
+            return self if not b else other
+        out, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            p, q = a[i], b[j]
+            if p[0] == q[0]:
+                out.append((p[0], p[1] + q[1]))
+                i, j = i + 1, j + 1
+            elif p[0] > q[0]:
+                out.append(p)
+                i += 1
+            else:
+                out.append(q)
+                j += 1
+        out += a[i:] + b[j:]
+        return object.__new__(Monomial)._set(
+            tuple(out), self.degree + other.degree, max(self.maxrow, other.maxrow))
 
     @property
     def text(self) -> str:
-        if not self.exps:
+        if not self.pairs:
             return "1"
-        # x variables in glex order (column, then row); u variables last
-        ordered = sorted(self.exps, key=lambda ve: (ve[0][0] == "u", ve[0][2], ve[0][1]))
+        # descending rank: x in glex order (column, then row), then u
         return "*".join(
-            _var_text(v) + (f"^{e}" if e > 1 else "") for v, e in ordered
+            _var_text(_variable(r)) + (f"^{e}" if e > 1 else "") for r, e in self.pairs
         )
 
     def __repr__(self) -> str:
@@ -100,6 +144,13 @@ class MatrixPolynomial:
         return cls()
 
     @classmethod
+    def _of(cls, terms: dict[Monomial, Coefficient]) -> "MatrixPolynomial":
+        """Wrap an already merged term dict without copying it."""
+        result = cls.__new__(cls)
+        result.terms = terms
+        return result
+
+    @classmethod
     def constant(cls, c: Coefficient) -> "MatrixPolynomial":
         return cls({ONE: c} if c else {})
 
@@ -127,24 +178,17 @@ class MatrixPolynomial:
                 out[mono] = acc
             else:
                 out.pop(mono, None)
-        result = MatrixPolynomial.zero()
-        result.terms = out
-        return result
+        return MatrixPolynomial._of(out)
 
     def __neg__(self) -> "MatrixPolynomial":
-        result = MatrixPolynomial.zero()
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return MatrixPolynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         return self + (-other)
 
     def __mul__(self, other: Union["MatrixPolynomial", int, Fraction]) -> "MatrixPolynomial":
         if isinstance(other, (int, Fraction)):
-            result = MatrixPolynomial.zero()
-            if other:
-                result.terms = {m: c * other for m, c in self.terms.items()}
-            return result
+            return MatrixPolynomial._of({m: c * other for m, c in self.terms.items() if other})
         out: dict[Monomial, Coefficient] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -154,9 +198,7 @@ class MatrixPolynomial:
                     out[mono] = acc
                 else:
                     out.pop(mono, None)
-        result = MatrixPolynomial.zero()
-        result.terms = out
-        return result
+        return MatrixPolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -189,14 +231,14 @@ class GlexOrder:
         return [x_var(a, b) for b in range(1, self.m + 1) for a in range(1, self.n + 1)]
 
     def key(self, mono: Monomial):
-        """Sort key: bigger key means glex-greater."""
-        exps = dict(mono.exps)
-        for v in exps:
-            if v[0] != "x":
-                raise ValueError(f"glex order only compares x monomials, found {v}")
-            if not (1 <= v[1] <= self.n and 1 <= v[2] <= self.m):
-                raise ValueError(f"variable {v} outside the {self.n} x {self.m} matrix")
-        return (mono.degree, tuple(exps.get(v, 0) for v in self.variables()))
+        """Sort key: bigger key means glex-greater.  The last pair holds a u
+        variable if there is one, else the deepest column."""
+        last = -mono.pairs[-1][0] if mono.pairs else 0
+        if last >= _U_OFFSET or last >> _SHIFT > self.m or mono.maxrow > self.n:
+            v = next(v for v, _ in mono.exps if v[0] != "x" or v[1] > self.n or v[2] > self.m)
+            raise ValueError(f"glex order only compares x monomials, found {v}" if v[0] != "x"
+                             else f"variable {v} outside the {self.n} x {self.m} matrix")
+        return (mono.degree, mono.pairs)
 
 
 def initial_monomial(p: MatrixPolynomial, order: GlexOrder) -> tuple[Monomial, Coefficient]:
@@ -305,8 +347,6 @@ def _chain_from_initial(mono: Monomial, shape: YoungDiagram,
     of the tableau whose columns form the chain."""
     rows_by_col: dict[int, list[int]] = {}
     for var, e in mono.exps:
-        if var[0] != "x":
-            raise ValueError(f"unexpected variable {var} in an initial monomial")
         rows_by_col.setdefault(var[2], []).extend([var[1]] * e)
     depth = shape.depth
     if sorted(rows_by_col) != list(range(1, depth + 1)):

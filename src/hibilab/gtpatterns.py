@@ -11,7 +11,8 @@ at the level-``k`` nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
+from math import prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .posets import GtNode
@@ -247,6 +248,18 @@ def interlaces(mu: YoungDiagram, nu: YoungDiagram) -> bool:
             f"expected lengths k and k-1, got {len(a)} and {len(b)}"
         )
     return all(a[j] >= b[j] >= a[j + 1] for j in range(len(b)))
+
+
+def weyl_dimension(shape: YoungDiagram, n: int) -> int:
+    """Number of patterns of size ``n`` with top row ``shape``: Weyl's
+    product over the padded shape, in exact integer arithmetic."""
+    lam = shape.padded(n)
+    pairs = list(combinations(range(n), 2))
+    top = prod(lam[i] - lam[j] + j - i for i, j in pairs)
+    value, rest = divmod(top, prod(j - i for i, j in pairs))
+    if rest:
+        raise ArithmeticError(f"non-integer Weyl product for {shape.rows}, n={n}")
+    return value
 
 
 def enumerate_patterns(

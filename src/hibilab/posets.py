@@ -28,7 +28,10 @@ def _enum_guard() -> int:
     """Node guard for up-set enumeration; the HIBILAB_MAX_NODES environment
     variable overrides it (unsafe: memory grows with the up-set count)."""
     raw = os.environ.get("HIBILAB_MAX_NODES")
-    return int(raw) if raw else DEFAULT_MAX_ENUM_NODES
+    try:
+        return int(raw) if raw else DEFAULT_MAX_ENUM_NODES
+    except ValueError:
+        raise ValueError(f"HIBILAB_MAX_NODES must be an integer, got {raw!r}") from None
 
 
 class GtNode(NamedTuple):
@@ -136,18 +139,18 @@ class Family(enum.Enum):
     BRANCHING = "B"
 
 
-def _all_columns(n: int, depths: Iterable[int]) -> list[ColumnTableau]:
-    cols = []
+def _all_columns(n: int, depths: Iterable[int]) -> Iterator[ColumnTableau]:
     for k in depths:
         for entries in combinations(range(1, n + 1), k):
-            cols.append(ColumnTableau(entries, n))
-    return cols
+            yield ColumnTableau(entries, n)
 
 
 @dataclass(frozen=True)
 class TableauLattice:
     """A distributive lattice of column tableaux from one of the five
-    families.  Join/meet closure is verified at construction."""
+    families.  Join/meet closure is verified at construction; the size
+    guard stops reading ``elements`` at its first member past
+    ``MAX_LATTICE_SIZE``, so a family may pass a lazy iterable."""
 
     n: int
     family: Family
@@ -157,13 +160,13 @@ class TableauLattice:
 
     def __init__(self, n: int, family: Family, m: Optional[int], k: Optional[int],
                  elements: Iterable[ColumnTableau]):
+        members: set[ColumnTableau] = set()
+        for e in elements:
+            members.add(e)
+            if len(members) > MAX_LATTICE_SIZE:
+                raise ValueError(f"lattice has over {MAX_LATTICE_SIZE} elements (desk-scale guard)")
         # chain_sort_key lists smaller elements first: a linear extension
-        elements = tuple(sorted(set(elements), key=chain_sort_key))
-        if len(elements) > MAX_LATTICE_SIZE:
-            raise ValueError(
-                f"lattice with {len(elements)} elements exceeds the "
-                f"desk-scale guard of {MAX_LATTICE_SIZE}"
-            )
+        elements = tuple(sorted(members, key=chain_sort_key))
         index = {e.entries: i for i, e in enumerate(elements)}
         for a, b in combinations(index, 2):
             if _join(a, b) not in index or _meet(a, b) not in index:
@@ -206,11 +209,10 @@ class TableauLattice:
         if n % 2 != 0 or n < 2:
             raise ValueError(f"symplectic family needs even n >= 2, got {n}")
         m = n // 2
-        floor = ColumnTableau(tuple(range(1, 2 * m, 2)), n)
-        cols = [
+        cols = (
             c for c in _all_columns(n, range(1, m + 1))
-            if all(c.entries[i] >= floor.entries[i] for i in range(c.depth))
-        ]
+            if all(x >= 2 * i + 1 for i, x in enumerate(c.entries))
+        )
         return cls(n, Family.SYMPLECTIC, m, None, cols)
 
     @classmethod
@@ -222,19 +224,13 @@ class TableauLattice:
             raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
         if not 1 <= k < n:
             raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-        cols: set[tuple[int, ...]] = set()
-        for p in range(1, min(k, m) + 1):
-            cols.add(tuple(range(1, p + 1)))
-        for q in range(1, min(n - k, m) + 1):
-            for tail in combinations(range(k + 1, n + 1), q):
-                cols.add(tail)
-        for r in range(1, min(k, m) + 1):
-            for s in range(1, min(n - k, m) + 1):
-                if r + s > m:
-                    continue
-                for tail in combinations(range(k + 1, n + 1), s):
-                    cols.add(tuple(range(1, r + 1)) + tail)
-        return cls(n, Family.BRANCHING, m, k, [ColumnTableau(c, n) for c in cols])
+        cols = (
+            ColumnTableau(tuple(range(1, r + 1)) + tail, n)
+            for r in range(min(k, m) + 1)
+            for s in range(0 if r else 1, min(n - k, m - r) + 1)
+            for tail in combinations(range(k + 1, n + 1), s)
+        )
+        return cls(n, Family.BRANCHING, m, k, cols)
 
     # -- protocol ------------------------------------------------------
 

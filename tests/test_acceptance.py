@@ -47,7 +47,14 @@ from hibilab.posets import (
     join,
     meet,
 )
-from hibilab.tableaux import SSYT, ColumnTableau, YoungDiagram, to_skew
+from hibilab.tableaux import (
+    SSYT,
+    ColumnTableau,
+    YoungDiagram,
+    multichain_to_ssyt,
+    ssyt_to_multichain,
+    to_skew,
+)
 
 import golden
 
@@ -198,8 +205,6 @@ def test_criterion_05_skew_content_derived_from_filling():
 
 
 def test_criterion_06_bijection_suite():
-    from hibilab.tableaux import multichain_to_ssyt, ssyt_to_multichain
-
     cases = 0
     for n in range(1, 6):
         for shape in shapes_within(8, n):

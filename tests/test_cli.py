@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -59,6 +60,16 @@ class TestHasse:
         assert run(capsys, "hasse", "L", "40")[0] == 2
         assert run(capsys, "hasse", "L")[0] == 2
         assert run(capsys, "hasse", "B", "5", "3")[0] == 2
+
+    @pytest.mark.parametrize("bounds", [
+        ["P", "24"], ["B", "32", "16", "8"], ["G", "32", "16"], ["Lm", "20", "6"],
+    ])
+    def test_size_guard_fires_before_enumeration(self, capsys, bounds):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hasse", *bounds)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "guard" in err and err.count("\n") == 1
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "hasse", "P", "6")
@@ -161,6 +172,13 @@ class TestDim:
     def test_too_deep(self, capsys):
         assert run(capsys, "dim", "(1,1,1)", "2")[0] == 2
 
+    def test_counts_without_enumerating(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "dim", "(3,3,3,3,3,3)", "12")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out == "24293412\n"
+
 
 class TestEnumerate:
     def test_three_lines_in_lex_order(self, capsys):
@@ -170,6 +188,11 @@ class TestEnumerate:
         assert len(lines) == 3
         rows = [json.loads(line)["rows"] for line in lines]
         assert rows == sorted(rows)
+
+    def test_output_guard_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "enumerate", "(4,4,4)", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("error: 1557270 patterns") and err.count("\n") == 1
 
 
 class TestStraighten:
@@ -252,6 +275,12 @@ class TestCheck:
         code, out, err = run(capsys, "check", "birkhoff", "--n", "7")
         assert code == 2 and out == ""
         assert "guard" in err and err.count("\n") == 1
+
+    def test_non_integer_node_guard_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("HIBILAB_MAX_NODES", "abc")
+        code, out, err = run(capsys, "check", "birkhoff", "--n", "3")
+        assert code == 2 and out == ""
+        assert err == "error: HIBILAB_MAX_NODES must be an integer, got 'abc'\n"
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "check", "nothing")

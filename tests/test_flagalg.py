@@ -90,6 +90,58 @@ class TestGlex:
         with pytest.raises(ValueError, match="glex"):
             order.key(Monomial({u_var(1, 2): 1}))
 
+    @pytest.mark.parametrize("var", [x_var(4, 1), x_var(1, 3), x_var(4, 3)])
+    def test_rejects_variables_outside_the_matrix(self, var):
+        order = GlexOrder(3, 2)
+        with pytest.raises(ValueError, match="outside the 3 x 2 matrix"):
+            order.key(Monomial({x_var(1, 1): 2, var: 1}))
+
+    def test_key_matches_dense_reference(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            n, m = rng.randint(1, 6), rng.randint(1, 4)
+            order = GlexOrder(n, m)
+            monos = [
+                Monomial({x_var(rng.randint(1, n), rng.randint(1, m)): rng.randint(0, 3)
+                          for _ in range(rng.randint(0, 4))})
+                for _ in range(6)
+            ]
+            for a, b in itertools.product(monos, repeat=2):
+                dense_a, dense_b = (
+                    (mono.degree, tuple(dict(mono.exps).get(v, 0) for v in order.variables()))
+                    for mono in (a, b)
+                )
+                assert (order.key(a) < order.key(b)) == (dense_a < dense_b)
+                assert (order.key(a) == order.key(b)) == (dense_a == dense_b)
+
+
+class TestMonomial:
+    def test_independent_of_insertion_order(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            exps = {v: rng.randint(1, 3) for v in
+                    {rng.choice((x_var, u_var))(rng.randint(1, 6), rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 6))}}
+            items = list(exps.items())
+            rng.shuffle(items)
+            a, b = Monomial(exps), Monomial(items)
+            assert a == b and hash(a) == hash(b)
+            assert a.exps == b.exps == tuple(sorted(exps.items()))
+            assert a.text == b.text
+
+    def test_product_merges_exponents(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            left, right = (
+                [(x_var(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(1, 2))
+                 for _ in range(rng.randint(0, 4))]
+                for _ in range(2)
+            )
+            product = Monomial(left) * Monomial(right)
+            assert product == Monomial(left + right)
+            assert product.exps == Monomial(left + right).exps
+            assert product.degree == sum(e for _, e in left + right)
+
 
 class TestInitialMonomial:
     def test_diagonal(self):
