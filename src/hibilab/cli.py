@@ -22,6 +22,7 @@ from .tableaux import SSYT, ColumnTableau, YoungDiagram, multichain_to_ssyt, to_
 
 MAX_N = 32
 MAX_ENUMERATE_LINES = 10_000
+MAX_TRIALS = 10_000
 
 
 class UsageError(Exception):
@@ -146,7 +147,7 @@ def _read(kind: str, data):
             n = int(data["n"])
             return tuple(ColumnTableau(col, n) for col in data["columns"])
         return (SSYT if kind == "ssyt" else GtPattern).from_dict(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"bad {kind}: {exc}") from exc
 
 
@@ -295,6 +296,8 @@ def cmd_check(args) -> int:
             kwargs[name] = value
     if args.n is not None:
         _check_n(args.n)
+    if args.trials is not None and not 0 <= args.trials <= MAX_TRIALS:
+        raise UsageError(f"trials must be in 0..{MAX_TRIALS}, got {args.trials}")
     try:
         cases, failures = suite(**kwargs)
     except ValueError as exc:

@@ -86,7 +86,9 @@ class GtPoset:
 
     @property
     def elements(self) -> tuple[GtNode, ...]:
-        return tuple(sorted(self.nodes, key=lambda x: (-x.level, x.index)))
+        """The nodes, smaller first: ``x > y`` makes ``level - 2 * index``
+        strictly larger, so this order is a linear extension."""
+        return tuple(sorted(self.nodes, key=lambda x: (x.level - 2 * x.index, x.index)))
 
     def below(self) -> tuple[int, ...]:
         """Per element of ``elements``, the bitmask of the elements strictly
@@ -115,6 +117,13 @@ def _meet(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) > len(b):
         a, b = b, a
     return tuple(map(min, a, b)) + b[len(a):]
+
+
+def _code(entries: tuple[int, ...], n: int) -> int:
+    """A column as an int: bit ``t * n + v - 1`` is set when row ``t``
+    exists and its entry is at most ``v``.  Join is ``&`` on codes, meet is
+    ``|`` and the order is a subset test."""
+    return sum(((1 << n) - (1 << (x - 1))) << (t * n) for t, x in enumerate(entries))
 
 
 def join(a: ColumnTableau, b: ColumnTableau) -> ColumnTableau:
@@ -148,7 +157,8 @@ def _all_columns(n: int, depths: Iterable[int]) -> Iterator[ColumnTableau]:
 @dataclass(frozen=True)
 class TableauLattice:
     """A distributive lattice of column tableaux from one of the five
-    families.  Join/meet closure is verified at construction; the size
+    families.  Join/meet closure is verified at construction, on one
+    ``_code`` per column, where join and meet are ``&`` and ``|``; the size
     guard stops reading ``elements`` at its first member past
     ``MAX_LATTICE_SIZE``, so a family may pass a lazy iterable."""
 
@@ -168,12 +178,19 @@ class TableauLattice:
         # chain_sort_key lists smaller elements first: a linear extension
         elements = tuple(sorted(members, key=chain_sort_key))
         index = {e.entries: i for i, e in enumerate(elements)}
-        for a, b in combinations(index, 2):
-            if _join(a, b) not in index or _meet(a, b) not in index:
-                raise ValueError(
-                    f"family {family.value} not closed under join/meet at "
-                    f"{elements[index[a]].label}, {elements[index[b]].label}"
-                )
+        width = max((e.n for e in elements), default=n)
+        codes = [_code(e.entries, width) for e in elements]
+        closed = set(codes)
+        for i, a in enumerate(codes):
+            rest = codes[i + 1:]
+            if closed.issuperset(map(a.__and__, rest)) and closed.issuperset(map(a.__or__, rest)):
+                continue
+            j = next(j for j, b in enumerate(rest, i + 1)
+                     if a & b not in closed or a | b not in closed)
+            raise ValueError(
+                f"family {family.value} not closed under join/meet at "
+                f"{elements[i].label}, {elements[j].label}"
+            )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "m", m)
@@ -348,14 +365,17 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _lower_covers(below: tuple[int, ...]) -> list[int]:
-    """Per element, the bitmask of its lower covers: the elements below it
-    that are below nothing else below it."""
+    """Per element, the bitmask of its lower covers.  The order table lists
+    a linear extension, so the highest element left below an element is a
+    lower cover; take it, drop everything at most it, and repeat."""
     covers = []
     for mask in below:
-        under = 0
-        for j in _bits(mask):
-            under |= below[j]
-        covers.append(mask & ~under)
+        found = 0
+        while mask:
+            j = mask.bit_length() - 1
+            found |= 1 << j
+            mask &= ~(below[j] | 1 << j)
+        covers.append(found)
     return covers
 
 
@@ -399,9 +419,7 @@ def order_increasing_subsets(
             f"poset has {len(elems)} nodes, above the enumeration guard "
             f"of {max_nodes}"
         )
-    # elements are sorted by (-level, index); make it a linear extension
-    # (larger nodes first) by sorting on the closed-form order invariants.
-    order = sorted(elems, key=lambda x: (x.index, -(x.level - x.index)))
+    order = elems[::-1]  # a linear extension, larger nodes first
     ups = [
         [j for j in range(i) if gt_geq(order[j], order[i])]
         for i in range(len(order))

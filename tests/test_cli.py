@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hibilab.cli import main
+from hibilab.cli import MAX_TRIALS, main
 
 import golden
 
@@ -149,6 +149,7 @@ class TestConvert:
         ("ssyt", "gt", "[1,2]"),
         ("gt", "ssyt", '{"n":3,"rows":5}'),
         ("gt", "ssyt", '{"n":3}'),
+        ("ssyt", "gt", '{"shape":[1e400],"rows":[[1]]}'),
     ])
     def test_malformed_document_is_exit_3(self, capsys, monkeypatch, src, dst, text):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -275,6 +276,14 @@ class TestCheck:
         code, out, err = run(capsys, "check", "birkhoff", "--n", "7")
         assert code == 2 and out == ""
         assert "guard" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suite,trials", [
+        ("hibi", -1), ("hibi", MAX_TRIALS + 1), ("distributivity", 10**12),
+    ])
+    def test_trials_guard_is_exit_2(self, capsys, suite, trials):
+        code, out, err = run(capsys, "check", suite, "--trials", str(trials))
+        assert code == 2 and out == ""
+        assert err == f"error: trials must be in 0..{MAX_TRIALS}, got {trials}\n"
 
     def test_non_integer_node_guard_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("HIBILAB_MAX_NODES", "abc")

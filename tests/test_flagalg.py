@@ -8,6 +8,7 @@ from hibilab.flagalg import (
     GlexOrder,
     MatrixPolynomial,
     Monomial,
+    _det,
     check_sagbi_pair,
     check_unipotent_invariance,
     diagonal_monomial,
@@ -68,8 +69,6 @@ class TestMinor:
             [MatrixPolynomial.variable(x_var(r, b)) for b in (1, 2)]
             for r in (2, 1)
         ]
-        from hibilab.flagalg import _det
-
         assert (_det(rows21) + p12).is_zero
 
 

@@ -3,12 +3,17 @@ import random
 
 import pytest
 
+from hibilab.checks import suite_birkhoff
 from hibilab.posets import (
     ConstantPolicy,
     Family,
     GtNode,
     GtPoset,
     TableauLattice,
+    _code,
+    _join,
+    _lower_covers,
+    _meet,
     associated_gt_subposet,
     gt_geq,
     hasse,
@@ -300,6 +305,47 @@ class TestOrderTable:
             assert lattice.count_multichains(depths) == len(brute)
 
 
+class TestCodes:
+    def test_join_meet_are_and_or(self):
+        for lattice in small_families():
+            n = lattice.n
+            for a, b in itertools.combinations(lattice.elements, 2):
+                ca, cb = _code(a.entries, n), _code(b.entries, n)
+                assert _code(_join(a.entries, b.entries), n) == ca & cb, (a, b)
+                assert _code(_meet(a.entries, b.entries), n) == ca | cb, (a, b)
+                assert (ca | cb == ca) == (a <= b) and (ca | cb == cb) == (b <= a), (a, b)
+
+    @pytest.mark.parametrize("entries", [
+        [(1,), (2, 4), (2, 3)],  # join fails; the first pair [2,3], [2,4] is closed
+        [(2,), (1,), (2, 3)],  # closed under join, not under meet
+    ])
+    def test_first_failing_pair_is_named(self, entries):
+        with pytest.raises(ValueError) as exc:
+            TableauLattice(4, Family.FULL, None, None, [col(e, 4) for e in entries])
+        assert str(exc.value) == "family L not closed under join/meet at [2,3], [1]"
+
+
+class TestCovers:
+    def test_matches_brute_force(self):
+        gt_posets = [GtPoset(5), GtPoset(6, 2), GtPoset(4, nodes=[(4, 1), (3, 2), (2, 1)])]
+        for p in itertools.chain(small_families(), gt_posets):
+            below = p.below()
+            for c, covers in enumerate(_lower_covers(below)):
+                brute = 0
+                for d in range(len(below)):
+                    between = any(below[c] >> e & 1 and below[e] >> d & 1
+                                  for e in range(len(below)))
+                    if below[c] >> d & 1 and not between:
+                        brute |= 1 << d
+                assert covers == brute, (p, c)
+
+    def test_gt_elements_are_a_linear_extension(self):
+        for p in (GtPoset(8), GtPoset(6, 2), GtPoset(4, nodes=[(4, 1), (3, 2), (2, 1)])):
+            elems = p.elements
+            for i, x in enumerate(elems):
+                assert not any(gt_geq(x, y) for y in elems[i + 1:]), x
+
+
 class TestLatticeIdentity:
     def test_element_set_decides_equality(self):
         lone = TableauLattice(3, Family.FULL, None, None, [ColumnTableau((1,), 3)])
@@ -392,8 +438,6 @@ class TestBirkhoffSuite:
     def test_full_suite_through_rank_5(self):
         # includes the explicit irreducibles-plus-top isomorphism onto the
         # GT poset, checked pairwise
-        from hibilab.checks import suite_birkhoff
-
         for n in range(1, 6):
             cases, failures = suite_birkhoff(n)
             assert not failures, failures[:3]
